@@ -37,8 +37,9 @@ from ..rulesets.parser import (
 )
 from ..rulesets.ruleset import RuleSet
 from ..streaming.executor import ParallelScanService
-from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowTable
+from ..streaming.flow import DEFAULT_FLOW_CAPACITY
 from ..streaming.scanner import StreamScanner
+from ..streaming.service import ScanService, ShardedScanServiceBase
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
 from .confirm import ConfirmStage, RuleEvaluator, merged_occurrences
@@ -131,11 +132,13 @@ class IntrusionDetectionSystem:
     model can execute; every other backend runs the same pipeline through
     its compiled program.
 
-    ``workers`` routes :meth:`scan_flow` content matching through the
-    process-parallel :class:`repro.streaming.ParallelScanService` with that
-    many worker processes (``None``, the default, keeps the in-process
-    scanner).  Call :meth:`close` (or :meth:`reset_flows`) to shut the
-    worker pool down when done.
+    :meth:`scan_flow` scans through a sharded flow-scan service: the
+    in-process :class:`repro.streaming.ScanService` with one shard by
+    default, or, with ``workers`` set, the process-parallel
+    :class:`repro.streaming.ParallelScanService` with one shard per worker
+    process.  Both feed the same confirm stage and checkpoint through the
+    same service envelope.  Call :meth:`close` (or :meth:`reset_flows`) to
+    shut a worker pool down when done.
     """
 
     def __init__(
@@ -216,9 +219,8 @@ class IntrusionDetectionSystem:
             rule.sid: RuleEvaluator(rule.sid, rule.predicate, number_of)
             for rule in rules
         }
-        #: the confirm stage: one instance correlates both the serial and
-        #: the parallel flow scan (it is fed from StreamMatch events either
-        #: way), replacing the old FlowEntry/parent-mirror bookkeeping
+        #: the confirm stage: fed from the flow-scan service's StreamMatch
+        #: events, serial or parallel alike
         self._confirm = ConfirmStage(self._evaluators.values())
         self.accelerator: Optional[HardwareAccelerator] = (
             HardwareAccelerator(self.program) if use_hardware_model else None
@@ -227,10 +229,9 @@ class IntrusionDetectionSystem:
         self._matcher: CompiledProgram = (
             self.accelerator if self.accelerator is not None else self.program
         )
-        self._flow_scanner: Optional[StreamScanner] = None
+        self._service: Optional[ShardedScanServiceBase] = None
         self._flow_capacity = DEFAULT_FLOW_CAPACITY
         self.workers = workers
-        self._parallel_service: Optional[ParallelScanService] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -391,53 +392,52 @@ class IntrusionDetectionSystem:
     # stateful (streaming) scanning
     # ------------------------------------------------------------------
     @property
-    def flow_scanner(self) -> StreamScanner:
-        """The lazily created stateful scanner backing :meth:`scan_flow`."""
-        if self._flow_scanner is None:
-            self._flow_scanner = StreamScanner(
-                self.program,
-                capacity=self._flow_capacity,
-                track_nocase=bool(self._nocase_patterns),
-            )
-        return self._flow_scanner
+    def flow_scanner(self) -> ShardedScanServiceBase:
+        """The lazily created flow-scan service backing :meth:`scan_flow`.
 
-    @property
-    def parallel_service(self) -> ParallelScanService:
-        """The lazily created worker pool backing the parallel flow scan."""
-        if self.workers is None:
-            raise ValueError(
-                "this IDS was built without workers=; pass workers=N to "
-                "IntrusionDetectionSystem to enable the parallel flow scan"
-            )
-        if self._parallel_service is None:
-            self._parallel_service = ParallelScanService(
-                self.program,
-                num_shards=self.workers,
-                flow_capacity_per_shard=self._flow_capacity,
-                track_nocase=bool(self._nocase_patterns),
-                workers=self.workers,
-            )
-        return self._parallel_service
+        One in-process shard without ``workers``; with ``workers``, one
+        shard per worker process.  Each shard's flow table holds at most
+        the configured flow capacity.
+        """
+        if self._service is None:
+            track_nocase = bool(self._nocase_patterns)
+            if self.workers is None:
+                self._service = ScanService(
+                    self.program,
+                    num_shards=1,
+                    flow_capacity_per_shard=self._flow_capacity,
+                    track_nocase=track_nocase,
+                )
+            else:
+                self._service = ParallelScanService(
+                    self.program,
+                    num_shards=self.workers,
+                    flow_capacity_per_shard=self._flow_capacity,
+                    track_nocase=track_nocase,
+                    workers=self.workers,
+                )
+        return self._service
 
     def reset_flows(self, capacity: Optional[int] = None) -> None:
         """Drop all tracked flow state (optionally resizing the flow table)."""
         if capacity is not None:
             self._flow_capacity = capacity
-        self._flow_scanner = None
-        self._confirm.reset()
         self.close()
+        self._service = None
+        self._confirm.reset()
 
     def close(self) -> None:
         """Shut down the parallel scan workers, if any were started.
 
         The correlation state goes with them: a pool rebuilt later starts
         with fresh flow tables, so the confirm stage must be fresh too.
-        (A serial IDS keeps its scanner and confirm state across close().)
+        (A serial IDS keeps its flow tables and confirm state across
+        close().)
         """
-        if self._parallel_service is not None:
-            self._parallel_service.close()
-            self._parallel_service = None
         if self.workers is not None:
+            if self._service is not None:
+                self._service.close()
+                self._service = None
             self._confirm.reset()
 
     def __enter__(self) -> "IntrusionDetectionSystem":
@@ -454,9 +454,10 @@ class IntrusionDetectionSystem:
     ) -> List[Alert]:
         """Fold scanned events into confirm-stage verdicts, packet by packet.
 
-        Shared by the serial and parallel flow scans: both produce exactly
-        (per-packet event lists, ``(item_index, key)`` eviction records) and
-        both must alert identically.  A flow evicted while packet ``index``
+        Consumes what the flow-scan service's ``scan_annotated`` returns:
+        per-packet event lists and ``(arrival_index, key)`` eviction
+        records, identical for the serial and the parallel service.  A flow
+        evicted while packet ``index``
         was being scanned is finalized (pending negation verdicts) and
         dropped before that packet is correlated — it restarts from scratch,
         because the scanner restarted its offsets too.
@@ -543,34 +544,12 @@ class IntrusionDetectionSystem:
         but not yet driven by a flow-aware hardware scheduler.
 
         With ``workers`` set, the payload scanning runs on the parallel
-        shard executor and alerts are correlated from its event stream —
-        same alerts, same order, same statistics as the serial path (the
-        flow-capacity bound then applies per worker shard rather than to
-        one shared table, which only matters under eviction pressure).
+        shard executor — same alerts, same order, same statistics as the
+        serial path (the flow-capacity bound then applies per worker shard
+        rather than to one shared table, which only matters under eviction
+        pressure).
         """
-        if self.workers is not None:
-            return self._scan_flow_parallel(packets)
-        scanner = self.flow_scanner
-        per_packet_events, evictions = scanner.scan_batch(
-            [
-                (scanner.flow_key(packet), packet.payload, packet.packet_id)
-                for packet in packets
-            ]
-        )
-        return self._correlate(packets, per_packet_events, evictions)
-
-    def _scan_flow_parallel(self, packets: Sequence[Packet]) -> List[Alert]:
-        """The :meth:`scan_flow` pipeline over the parallel shard executor.
-
-        Workers own the flow tables, but the confirm stage is parent-side
-        either way: per-packet events (flow-absolute offsets) feed the same
-        :class:`ConfirmStage` the serial path uses, and eviction records
-        finalize-and-drop a flow exactly where the worker's LRU table forgot
-        it (an evicted flow restarts from scratch and may alert again,
-        mirroring the serial semantics).
-        """
-        service = self.parallel_service
-        _, per_packet_events, evictions = service.scan_annotated(packets)
+        _, per_packet_events, evictions = self.flow_scanner.scan_annotated(packets)
         return self._correlate(packets, per_packet_events, evictions)
 
     def finish(self) -> List[Alert]:
@@ -601,34 +580,37 @@ class IntrusionDetectionSystem:
         return alerts
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (serial flow scan)
+    # checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Serialise the serial flow scan's state: scanner flows + confirm.
+        """Serialise the flow scan's state: the service's flows + confirm.
 
-        Everything the confirm stage needs across a restart — absolute hit
-        positions per flow, pcre byte buffers, pending negation candidacy —
-        rides next to the scanner's resumable automaton states, so a
-        restored IDS continues mid-flow predicates exactly where it
-        stopped.  Parallel pools checkpoint through their service instead.
+        ``"flows"`` is the flow-scan service's ``{"num_shards", "shards"}``
+        envelope, so a checkpoint restores into any IDS with the same shard
+        count (serial and ``workers=1`` both have one shard).  Everything
+        the confirm stage needs across a restart — absolute hit positions
+        per flow, pcre byte buffers, pending negation candidacy — rides next
+        to the resumable automaton states, so a restored IDS continues
+        mid-flow predicates exactly where it stopped.
         """
-        if self.workers is not None:
-            raise ValueError(
-                "checkpoint() covers the serial flow scan; a parallel IDS "
-                "checkpoints its scan service (parallel_service.checkpoint())"
-            )
         return {
-            "flows": self.flow_scanner.flows.checkpoint(),
+            "flows": self.flow_scanner.checkpoint(),
             "confirm": self._confirm.checkpoint(),
         }
 
     def restore(self, data: Dict) -> None:
-        """Restore state saved by :meth:`checkpoint`."""
-        if self.workers is not None:
-            raise ValueError(
-                "restore() covers the serial flow scan; a parallel IDS "
-                "restores through its scan service (parallel_service.restore())"
-            )
-        scanner = self.flow_scanner
-        scanner.flows = FlowTable.restore(data["flows"])
+        """Restore state saved by :meth:`checkpoint`.
+
+        The configured flow capacity stays in force: a checkpoint whose shard
+        tables hold more flows than that is rejected before anything is
+        restored (dropping the surplus flows would strand their confirm-stage
+        records).
+        """
+        for shard, table in enumerate(data["flows"]["shards"]):
+            if len(table["flows"]) > self._flow_capacity:
+                raise ValueError(
+                    f"checkpoint shard {shard} holds {len(table['flows'])} flows, "
+                    f"more than this IDS's flow capacity of {self._flow_capacity}"
+                )
+        self.flow_scanner.restore(data["flows"])
         self._confirm.restore(data["confirm"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..backend import ScanState
 from ..traffic.packet import FiveTuple
@@ -88,24 +88,15 @@ class FlowEntry:
     ``states`` holds one :class:`ScanState` per block of the compiled
     program; ``lower_states`` is the parallel state over the lower-cased view
     of the stream (allocated only when case-insensitive patterns exist).
-    ``matched`` / ``matched_lower`` accumulate the global string numbers seen
-    so far and ``alerted`` the rule sids already reported, so multi-content
-    rules can complete across segments without duplicate alerts.
+    What a rule has matched so far is the confirm stage's record
+    (:class:`repro.ids.confirm.ConfirmStage`), not the scanner's.
 
     A ``__slots__`` record rather than a dataclass: one is created per live
     flow and its fields are reassigned on every scanned segment, so the
     streaming hot loop benefits from ``__dict__``-free attribute access.
     """
 
-    __slots__ = (
-        "key",
-        "states",
-        "lower_states",
-        "packets",
-        "matched",
-        "matched_lower",
-        "alerted",
-    )
+    __slots__ = ("key", "states", "lower_states", "packets")
 
     def __init__(
         self,
@@ -113,24 +104,16 @@ class FlowEntry:
         states: Tuple[ScanState, ...],
         lower_states: Optional[Tuple[ScanState, ...]] = None,
         packets: int = 0,
-        matched: Optional[Set[int]] = None,
-        matched_lower: Optional[Set[int]] = None,
-        alerted: Optional[Set[int]] = None,
     ):
         self.key = key
         self.states = states
         self.lower_states = lower_states
         self.packets = packets
-        self.matched = set() if matched is None else matched
-        self.matched_lower = set() if matched_lower is None else matched_lower
-        self.alerted = set() if alerted is None else alerted
 
     def __repr__(self) -> str:
         return (
             f"FlowEntry(key={self.key!r}, states={self.states!r}, "
-            f"lower_states={self.lower_states!r}, packets={self.packets!r}, "
-            f"matched={self.matched!r}, matched_lower={self.matched_lower!r}, "
-            f"alerted={self.alerted!r})"
+            f"lower_states={self.lower_states!r}, packets={self.packets!r})"
         )
 
     @property
@@ -148,9 +131,6 @@ class FlowEntry:
                 else [state.as_tuple() for state in self.lower_states]
             ),
             "packets": self.packets,
-            "matched": sorted(self.matched),
-            "matched_lower": sorted(self.matched_lower),
-            "alerted": sorted(self.alerted),
         }
 
     @classmethod
@@ -166,9 +146,6 @@ class FlowEntry:
                 )
             ),
             packets=int(data.get("packets", 0)),
-            matched=set(data.get("matched", ())),
-            matched_lower=set(data.get("matched_lower", ())),
-            alerted=set(data.get("alerted", ())),
         )
 
 

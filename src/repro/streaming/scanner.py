@@ -166,14 +166,28 @@ class StreamScanner:
     ) -> List[StreamMatch]:
         """Scan ``payload`` as the next segment of flow ``key``."""
         entry = self.flows.get_or_create(key, self._new_entry)
-        segment_start = entry.bytes_scanned
+        entry.packets += 1
+        return self._scan_segments(entry, ((key, payload, packet_id),))[0]
 
-        raw, entry.states = self._scan(entry.states, payload)
-        matches = [
-            StreamMatch(key, packet_id, offset, number) for offset, number in raw
-        ]
-        entry.matched.update(number for _, number in raw)
+    def _scan_segments(
+        self, entry: FlowEntry, segments: Sequence[BatchItem]
+    ) -> List[List[StreamMatch]]:
+        """The scan kernel: the next consecutive segments of ``entry``'s flow.
 
+        The segments cross into the backend as one chunk (joined when there
+        is more than one) in the raw view and, with nocase tracking, in the
+        lowered view; each match is attributed to the segment holding its
+        final byte.  Returns one event list per segment and updates the
+        scanner statistics; flow-table bookkeeping and ``entry.packets`` are
+        the caller's.
+        """
+        base = entry.bytes_scanned
+        if len(segments) == 1:
+            data = segments[0][1]
+        else:
+            data = b"".join([segment[1] for segment in segments])
+        raw, entry.states = self._scan(entry.states, data)
+        lowered: Sequence[Tuple[int, int]] = ()
         if self.track_nocase:
             if entry.lower_states is None:
                 # e.g. a flow restored from a checkpoint written without
@@ -181,31 +195,44 @@ class StreamScanner:
                 # silently never matching case-insensitively again.  Seed it
                 # at the raw stream offset so lowered matches keep reporting
                 # flow-absolute positions (and dedup against raw hits works).
-                entry.lower_states = self.program.initial_scan_states(
-                    offset=segment_start
-                )
+                entry.lower_states = self.program.initial_scan_states(offset=base)
             lowered, entry.lower_states = self._scan(
-                entry.lower_states, payload.lower()
+                entry.lower_states, data.lower()
             )
-            # an occurrence that is already lower-case matches in both views;
-            # report it once (the raw event) so statistics are not inflated
-            raw_hits = set(raw)
-            lowered = [hit for hit in lowered if hit not in raw_hits]
-            matches.extend(
-                StreamMatch(key, packet_id, offset, number, True)
-                for offset, number in lowered
-            )
-            entry.matched_lower.update(number for _, number in lowered)
+            if lowered:
+                # an occurrence that is already lower-case matches in both
+                # views; report it once (the raw event) so statistics are
+                # not inflated
+                raw_hits = set(raw)
+                lowered = [hit for hit in lowered if hit not in raw_hits]
 
-        entry.packets += 1
-        self.stats.segments += 1
-        self.stats.bytes_scanned += len(payload)
-        self.stats.matches += len(matches)
-        for match in matches:
-            # the match ends in this segment but started before it
-            if match.end_offset - self._pattern_length[match.string_number] < segment_start:
-                self.stats.cross_segment_matches += 1
-        return matches
+        stats = self.stats
+        stats.segments += len(segments)
+        stats.bytes_scanned += len(data)
+        per_segment: List[List[StreamMatch]] = [[] for _ in segments]
+        if not raw and not lowered:
+            return per_segment
+        # ends[j] = flow-absolute end offset of segment j; a match with end
+        # offset o belongs to the segment with the smallest end >= o (its
+        # final byte is at o - 1 < ends[j]).
+        ends: List[int] = []
+        acc = base
+        for segment in segments:
+            acc += len(segment[1])
+            ends.append(acc)
+        pattern_length = self._pattern_length
+        for hits, is_lowered in ((raw, False), (lowered, True)):
+            for offset, number in hits:
+                j = bisect_left(ends, offset)
+                key, payload, packet_id = segments[j]
+                per_segment[j].append(
+                    StreamMatch(key, packet_id, offset, number, is_lowered)
+                )
+                # the match ends in this segment but started before it
+                if offset - pattern_length[number] < ends[j] - len(payload):
+                    stats.cross_segment_matches += 1
+        stats.matches += len(raw) + len(lowered)
+        return per_segment
 
     def scan_packets(self, packets: Sequence[Packet]) -> List[StreamMatch]:
         """Scan a batch of packets in arrival order (flows may interleave)."""
@@ -251,11 +278,9 @@ class StreamScanner:
         if len(flows) + new_flows > flows.capacity:
             return self._scan_batch_per_segment(items)
 
-        per_item: List[List[StreamMatch]] = [[] for _ in items]
-        stats = self.stats
+        # every slot is filled below: the flow groups partition the items
+        per_item: list = [None] * len(items)
         table_stats = flows.stats
-        pattern_length = self._pattern_length
-        scan = self._scan
         for key, indexes in groups.items():
             entry = flows.lookup(key)
             if entry is None:
@@ -268,69 +293,11 @@ class StreamScanner:
             table_stats.lookups += extra
             table_stats.hits += extra
             entry.packets += len(indexes)
-
-            if extra == 0:
-                # single segment: nothing to concatenate
-                index = indexes[0]
-                _, payload, packet_id = items[index]
-                events = self._scan_entry(entry, key, payload, packet_id)
+            per_segment = self._scan_segments(
+                entry, [items[index] for index in indexes]
+            )
+            for index, events in zip(indexes, per_segment):
                 per_item[index] = events
-                stats.segments += 1
-                stats.bytes_scanned += len(payload)
-                stats.matches += len(events)
-                segment_start = entry.bytes_scanned - len(payload)
-                for event in events:
-                    if event.end_offset - pattern_length[event.string_number] < segment_start:
-                        stats.cross_segment_matches += 1
-                continue
-
-            payloads = [items[index][1] for index in indexes]
-            joined = b"".join(payloads)
-            base = entry.bytes_scanned
-            # boundaries[j] = flow-absolute end offset of segment j; a match
-            # with end offset o belongs to the segment with the smallest
-            # boundary >= o (its final byte is at o - 1 < boundaries[j]).
-            boundaries: List[int] = []
-            acc = base
-            for payload in payloads:
-                acc += len(payload)
-                boundaries.append(acc)
-
-            raw, entry.states = scan(entry.states, joined)
-            seg_events: List[List[StreamMatch]] = [[] for _ in indexes]
-            for offset, number in raw:
-                j = bisect_left(boundaries, offset)
-                seg_events[j].append(
-                    StreamMatch(key, items[indexes[j]][2], offset, number)
-                )
-            entry.matched.update(number for _, number in raw)
-
-            if self.track_nocase:
-                if entry.lower_states is None:
-                    entry.lower_states = self.program.initial_scan_states(
-                        offset=base
-                    )
-                lowered, entry.lower_states = scan(
-                    entry.lower_states, joined.lower()
-                )
-                raw_hits = set(raw)
-                lowered = [hit for hit in lowered if hit not in raw_hits]
-                for offset, number in lowered:
-                    j = bisect_left(boundaries, offset)
-                    seg_events[j].append(
-                        StreamMatch(key, items[indexes[j]][2], offset, number, True)
-                    )
-                entry.matched_lower.update(number for _, number in lowered)
-
-            stats.segments += len(indexes)
-            stats.bytes_scanned += len(joined)
-            for j, events in enumerate(seg_events):
-                stats.matches += len(events)
-                segment_start = boundaries[j] - len(payloads[j])
-                for event in events:
-                    if event.end_offset - pattern_length[event.string_number] < segment_start:
-                        stats.cross_segment_matches += 1
-                per_item[indexes[j]] = events
 
         # Replay LRU recency in per-segment order: the grouped walk touched
         # each flow at its *first* arrival, but per-segment scanning leaves
@@ -338,33 +305,6 @@ class StreamScanner:
         for key in sorted(groups, key=lambda flow: groups[flow][-1]):
             flows.touch(key)
         return per_item, []
-
-    def _scan_entry(
-        self, entry: FlowEntry, key: FlowKey, payload: bytes, packet_id: int
-    ) -> List[StreamMatch]:
-        """One segment's backend crossing + event building (no table or
-        scanner statistics — :meth:`scan_batch` accounts for those)."""
-        raw, entry.states = self._scan(entry.states, payload)
-        matches = [
-            StreamMatch(key, packet_id, offset, number) for offset, number in raw
-        ]
-        entry.matched.update(number for _, number in raw)
-        if self.track_nocase:
-            if entry.lower_states is None:
-                entry.lower_states = self.program.initial_scan_states(
-                    offset=entry.bytes_scanned - len(payload)
-                )
-            lowered, entry.lower_states = self._scan(
-                entry.lower_states, payload.lower()
-            )
-            raw_hits = set(raw)
-            lowered = [hit for hit in lowered if hit not in raw_hits]
-            matches.extend(
-                StreamMatch(key, packet_id, offset, number, True)
-                for offset, number in lowered
-            )
-            entry.matched_lower.update(number for _, number in lowered)
-        return matches
 
     def _scan_batch_per_segment(
         self, items: Sequence[BatchItem]

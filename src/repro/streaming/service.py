@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import StreamMatch, StreamScanner
+from .scanner import Eviction, StreamMatch, StreamScanner
 
 
 @dataclass
@@ -227,7 +227,19 @@ class ScanService(ShardedScanServiceBase):
         )
 
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
+        """Batched dispatch: group ``packets`` by shard, scan, aggregate."""
+        return self.scan_annotated(packets)[0]
+
+    def scan_annotated(
+        self, packets: Sequence[Packet]
+    ) -> Tuple[StreamScanResult, List[List[StreamMatch]], List[Eviction]]:
+        """:meth:`scan` plus per-packet events and LRU-eviction records.
+
+        Returns ``(result, per_packet_events, evictions)`` exactly as
+        :meth:`repro.streaming.executor.ParallelScanService.scan_annotated`
+        does: the events of each input packet in arrival order, and
+        ``(arrival_index, key)`` for every flow LRU-evicted while the packet
+        at ``arrival_index`` was being scanned.
 
         Each shard's batch crosses into the engine once through
         :meth:`StreamScanner.scan_batch` (the hot path that batches same-flow
@@ -237,32 +249,27 @@ class ScanService(ShardedScanServiceBase):
         """
         batches = self._group_by_shard(packets)
         events: List[StreamMatch] = []
+        # every slot is filled below: each packet lands in one shard batch
+        per_packet: list = [None] * len(packets)
+        evictions: List[Eviction] = []
         shard_reports: List[ShardReport] = []
         for shard, engine in enumerate(self.engines):
-            batch = batches.get(shard)
-            if not batch:
-                shard_reports.append(
-                    ShardReport(
-                        shard=shard,
-                        packets=0,
-                        bytes_scanned=0,
-                        matches=0,
-                        active_flows=engine.active_flows,
-                        evicted_flows=0,
-                    )
-                )
-                continue
+            batch = batches.get(shard, ())
             before_matches = engine.stats.matches
             before_evicted = engine.flows.stats.evicted
             items = [
                 (key, packet.payload, packet.packet_id) for _, key, packet in batch
             ]
-            per_item, _ = engine.scan_batch(items)
+            per_item, shard_evictions = (
+                engine.scan_batch(items) if items else ((), ())
+            )
             batch_bytes = 0
-            for item in items:
+            for (arrival, _, _), item, item_events in zip(batch, items, per_item):
                 batch_bytes += len(item[1])
-            for item_events in per_item:
+                per_packet[arrival] = item_events
                 events.extend(item_events)
+            for item_index, key in shard_evictions:
+                evictions.append((batch[item_index][0], key))
             shard_reports.append(
                 ShardReport(
                     shard=shard,
@@ -273,7 +280,8 @@ class ScanService(ShardedScanServiceBase):
                     evicted_flows=engine.flows.stats.evicted - before_evicted,
                 )
             )
-        return self._aggregate(len(packets), events, shard_reports)
+        evictions.sort(key=itemgetter(0))
+        return self._aggregate(len(packets), events, shard_reports), per_packet, evictions
 
     # ------------------------------------------------------------------
     @property

@@ -16,6 +16,7 @@ Three layers of coverage:
 """
 
 import io
+import json
 
 import pytest
 
@@ -329,13 +330,80 @@ class TestPipeline:
             late = second.scan_flow(packets[1:]) + second.finish()
         assert _alert_pairs(early) + _alert_pairs(late) == expected
 
-    def test_parallel_checkpoint_refused(self):
-        lines = [WILDCARD + '(content:"ab"; sid:1;)']
-        with _ids_for(lines, workers=2) as ids:
-            with pytest.raises(ValueError, match="parallel"):
-                ids.checkpoint()
-            with pytest.raises(ValueError, match="parallel"):
-                ids.restore({"flows": {}, "confirm": {"flows": []}})
+    CHECKPOINT_RULES = [
+        WILDCARD + '(content:"GET"; offset:0; depth:4; '
+        'content:"HTTP"; distance:0; within:40; sid:1;)',
+        WILDCARD + '(content:"ab"; content:!"zz"; sid:2;)',
+        WILDCARD + '(content:"cmd"; pcre:"/GET[^;]*cmd/"; sid:3;)',
+    ]
+
+    @staticmethod
+    def _split_flows(count):
+        """``count`` two-segment flows; returns (first halves, second halves)
+        with packet ids numbered across both halves."""
+        first, second = [], []
+        for n in range(count):
+            head, tail = _flow([b"GET /ab", b" HTTP/1.1 cmd"], src_port=3000 + n)
+            first.append(head)
+            second.append(tail)
+        for packet_id, packet in enumerate(first + second):
+            packet.packet_id = packet_id
+        return first, second
+
+    def _checkpoint_split_run(self, save_workers, load_workers, flows=6):
+        first, second = self._split_flows(flows)
+        with _ids_for(self.CHECKPOINT_RULES, workers=save_workers) as reference:
+            expected = _alert_pairs(
+                reference.scan_flow(first + second) + reference.finish()
+            )
+        with _ids_for(self.CHECKPOINT_RULES, workers=save_workers) as saver:
+            early = saver.scan_flow(first)
+            saved = json.loads(json.dumps(saver.checkpoint()))
+        with _ids_for(self.CHECKPOINT_RULES, workers=load_workers) as loader:
+            loader.restore(saved)
+            late = loader.scan_flow(second) + loader.finish()
+        assert expected, "the workload must raise alerts"
+        assert _alert_pairs(early) + _alert_pairs(late) == expected
+
+    def test_parallel_checkpoint_round_trip(self):
+        """A workers=2 IDS checkpoints through its service: restored into a
+        fresh workers=2 IDS it alerts exactly like an uninterrupted run."""
+        self._checkpoint_split_run(2, 2)
+
+    @pytest.mark.parametrize("save_workers, load_workers", [(None, 1), (1, None)])
+    def test_serial_and_single_worker_checkpoints_interchange(
+        self, save_workers, load_workers
+    ):
+        self._checkpoint_split_run(save_workers, load_workers)
+
+    def test_serial_checkpoint_rejected_by_two_workers(self):
+        first, _ = self._split_flows(2)
+        with _ids_for(self.CHECKPOINT_RULES) as serial:
+            serial.scan_flow(first)
+            saved = serial.checkpoint()
+        with _ids_for(self.CHECKPOINT_RULES, workers=2) as parallel:
+            with pytest.raises(ValueError, match="checkpoint has 1 shards, service has 2"):
+                parallel.restore(saved)
+
+    @pytest.mark.parametrize("workers, flows", [(None, 5), (2, 6)])
+    def test_restore_rejects_checkpoint_over_flow_capacity(self, workers, flows):
+        """The configured flow capacity survives restore: a checkpoint whose
+        shard tables hold more flows is refused before anything is restored,
+        instead of silently raising the bound."""
+        first, _ = self._split_flows(flows)
+        with _ids_for(self.CHECKPOINT_RULES, workers=workers) as saver:
+            saver.scan_flow(first)
+            saved = saver.checkpoint()
+        largest = max(len(table["flows"]) for table in saved["flows"]["shards"])
+        assert largest > 2
+        with _ids_for(self.CHECKPOINT_RULES, workers=workers) as loader:
+            loader.reset_flows(capacity=2)
+            with pytest.raises(
+                ValueError, match=rf"holds {largest} flows, .* capacity of 2"
+            ):
+                loader.restore(saved)
+            assert loader.flow_scanner.active_flows == 0
+            assert loader.finish() == []
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.backend import ScanState
+from repro.backend import ScanState, get_backend
 from repro.core import compile_ruleset
 from repro.fpga import STRATIX_III
 from repro.ids import HeaderPattern, IDSRule, IntrusionDetectionSystem
@@ -164,6 +164,41 @@ class TestParallelEquivalence:
         )
         assert reference.events, "boundary-split flows should produce events"
         assert reference.stats["cross_segment_matches"] > 0
+
+    @pytest.mark.parametrize("capacity", (1, 2))
+    def test_scan_annotated_identical_under_eviction_pressure(
+        self, small_ruleset, capacity
+    ):
+        """The IDS correlates alerts from scan_annotated's per-packet events
+        and eviction records, so both services must agree on them exactly
+        while flows are being evicted."""
+        program = get_backend("dense").compile(small_ruleset.patterns)
+        generator = TrafficGenerator(small_ruleset, seed=53)
+        flows = generator.flows(9, num_packets=4, split_patterns=1, segment_bytes=60)
+        packets = TrafficGenerator.interleave(flows)
+        batches = (packets[: len(packets) // 2], packets[len(packets) // 2 :])
+        serial = ScanService(
+            program, num_shards=3, flow_capacity_per_shard=capacity, track_nocase=True
+        )
+        with ParallelScanService(
+            program,
+            num_shards=3,
+            flow_capacity_per_shard=capacity,
+            track_nocase=True,
+            workers=2,
+        ) as parallel:
+            evicted = matched = 0
+            for batch in batches:
+                result, per_packet, evictions = serial.scan_annotated(batch)
+                got_result, got_per_packet, got_evictions = parallel.scan_annotated(batch)
+                assert got_per_packet == per_packet
+                assert got_evictions == evictions
+                assert got_result.events == result.events
+                assert got_result.shards == result.shards
+                evicted += len(evictions)
+                matched += len(result.events)
+        assert evicted > 0, "the workload must evict flows"
+        assert matched > 0, "the workload must produce events"
 
     def test_submit_matches_serial_submit(self, crafted_program, crafted_ruleset):
         pattern = crafted_ruleset[0].pattern
@@ -362,10 +397,6 @@ class TestParallelIDS:
                 per_call.append(expected)
         # the rule completed on the second call and never re-alerted
         assert [[a.sid for a in alerts] for alerts in per_call] == [[], [1002], []]
-
-    def test_parallel_service_requires_workers(self):
-        with pytest.raises(ValueError):
-            self.build_ids().parallel_service
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
