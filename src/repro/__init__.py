@@ -105,7 +105,6 @@ from .capture import (
     read_capture,
     replay_ids,
     replay_scan,
-    replay_stream,
     write_packets,
     write_pcap,
     write_pcapng,
@@ -175,7 +174,6 @@ __all__ = [
     "read_capture",
     "replay_ids",
     "replay_scan",
-    "replay_stream",
     "write_packets",
     "write_pcap",
     "write_pcapng",

@@ -402,7 +402,9 @@ class EngineSpec:
     shard per worker).  ``strict`` makes pcap-source decoding fail on
     undecodable frames instead of skipping and counting them.
     ``ring_slots``/``ring_slot_bytes`` (``None`` = the transport defaults)
-    size the parallel service's per-worker shared-memory payload rings.
+    size the parallel service's per-worker shared-memory payload rings;
+    like ``shards`` they are unused in ids mode, whose worker pool always
+    runs with the transport defaults.
 
     ``reassemble`` inserts the :class:`repro.proto.TcpReassembler` between
     the packet source and the scan path: TCP segments are re-ordered by

@@ -618,14 +618,20 @@ class Session:
         verifier (DTP exactness, packing round-trips, ...) and the ruleset
         linter — no traffic is scanned, so it is safe to call before
         serving.  A hot-reload supervisor can refuse to swap in a program
-        whose report is not ``ok``.
+        whose report is not ``ok``.  In ids mode the verified program is the
+        one the IDS runs, proven against the IDS's own prefilter patterns.
         """
         from ..check import lint_ruleset, merge_reports, verify_program
 
+        if self.config.mode == "ids":
+            program = self.ids.program
+            patterns = self.ids.prefilter_ruleset.patterns
+        else:
+            program, patterns = self.program, self.ruleset.patterns
         return merge_reports(
             f"session verify ({self.config.engine.backend})",
             [
-                verify_program(self.program, patterns=self.ruleset.patterns),
+                verify_program(program, patterns=patterns),
                 lint_ruleset(self.ruleset),
             ],
         )

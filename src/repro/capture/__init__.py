@@ -30,7 +30,6 @@ from .replay import (
     load_packets,
     replay_ids,
     replay_scan,
-    replay_stream,
     write_packets,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "load_packets",
     "replay_ids",
     "replay_scan",
-    "replay_stream",
     "write_packets",
 ]

@@ -175,12 +175,6 @@ def write_packets(
 # These are one-call conveniences that trade away the decode statistics;
 # call load_packets() directly (as the CLI does) when you need to report
 # how many frames were skipped and why alongside the scan result.
-def replay_stream(source: CaptureSource, scanner, strict: bool = False):
-    """Replay a capture through a :class:`StreamScanner`; returns its matches."""
-    packets, _ = load_packets(source, strict=strict)
-    return scanner.scan_packets(packets)
-
-
 def replay_scan(source: CaptureSource, service, strict: bool = False):
     """Replay a capture through a (serial or parallel) scan service.
 
@@ -215,6 +209,5 @@ __all__ = [
     "load_packets",
     "replay_ids",
     "replay_scan",
-    "replay_stream",
     "write_packets",
 ]

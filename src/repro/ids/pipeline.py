@@ -166,12 +166,13 @@ class IntrusionDetectionSystem:
         for rule in rules:
             self.classifier.add_rule(rule.sid, rule.header)
 
-        # Build the prefilter ruleset: unique strings across all rules'
-        # predicates — negated contents included, because the confirm stage
-        # decides negation windows from their *occurrence* positions.
+        # Build the prefilter ruleset (the patterns ``program`` compiles):
+        # unique strings across all rules' predicates — negated contents
+        # included, because the confirm stage decides negation windows from
+        # their *occurrence* positions.
         # Contents flagged nocase are stored lower-cased and additionally
         # searched in a lower-cased view of each payload.
-        self._content_ruleset = RuleSet(name="ids-contents")
+        self.prefilter_ruleset = RuleSet(name="ids-contents")
         self._string_to_rules: Dict[bytes, Set[int]] = {}
         self._nocase_patterns: Set[bytes] = set()
         for rule in rules:
@@ -183,9 +184,9 @@ class IntrusionDetectionSystem:
                     self._nocase_patterns.add(pattern)
                 if not content.negated:
                     self._string_to_rules.setdefault(pattern, set()).add(rule.sid)
-                if pattern not in self._content_ruleset:
-                    self._content_ruleset.add_pattern(pattern)
-        if len(self._content_ruleset) == 0:
+                if pattern not in self.prefilter_ruleset:
+                    self.prefilter_ruleset.add_pattern(pattern)
+        if len(self.prefilter_ruleset) == 0:
             # every rule is pure-sticky: the prefilter has nothing to search
             # on the raw stream, but the scan machinery needs a compiled
             # program — seed it with the sticky patterns.  Their raw
@@ -194,24 +195,24 @@ class IntrusionDetectionSystem:
             for rule in rules:
                 for content in rule.predicate.contents:
                     pattern = content.effective_pattern()
-                    if pattern not in self._content_ruleset:
-                        self._content_ruleset.add_pattern(pattern)
+                    if pattern not in self.prefilter_ruleset:
+                        self.prefilter_ruleset.add_pattern(pattern)
 
         self.backend = backend
         if backend == "dtp":
-            self.program: CompiledProgram = compile_ruleset(self._content_ruleset, device)
+            self.program: CompiledProgram = compile_ruleset(self.prefilter_ruleset, device)
         else:
             if use_hardware_model:
                 raise ValueError(
                     "the cycle-level hardware model only executes the 'dtp' "
                     f"backend, not {backend!r}"
                 )
-            self.program = get_backend(backend).compile(self._content_ruleset.patterns)
+            self.program = get_backend(backend).compile(self.prefilter_ruleset.patterns)
         self._number_to_pattern = {
-            index: rule.pattern for index, rule in enumerate(self._content_ruleset)
+            index: rule.pattern for index, rule in enumerate(self.prefilter_ruleset)
         }
         number_of = {
-            rule.pattern: index for index, rule in enumerate(self._content_ruleset)
+            rule.pattern: index for index, rule in enumerate(self.prefilter_ruleset)
         }
         self._nocase_numbers = {number_of[p] for p in self._nocase_patterns}
         #: per-rule compiled predicates bound to the prefilter numbering
@@ -324,6 +325,12 @@ class IntrusionDetectionSystem:
         )
 
     # ------------------------------------------------------------------
+    def _alert(self, packet_id: int, sid: int) -> Alert:
+        """Raise (and count) rule ``sid``'s alert on packet ``packet_id``."""
+        rule = self.rules[sid]
+        self.stats.alerts_raised += 1
+        return Alert(packet_id=packet_id, sid=sid, msg=rule.msg, action=rule.action)
+
     def _match_positions(
         self, payload: bytes
     ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
@@ -376,16 +383,7 @@ class IntrusionDetectionSystem:
                 if evaluator.evaluate(
                     occ, len(packet.payload), buffer, at_end=True, http=http
                 ):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet.packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
-                    self.stats.alerts_raised += 1
+                    alerts.append(self._alert(packet.packet_id, sid))
         return alerts
 
     # ------------------------------------------------------------------
@@ -397,9 +395,12 @@ class IntrusionDetectionSystem:
 
         One in-process shard without ``workers``; with ``workers``, one
         shard per worker process.  Each shard's flow table holds at most
-        the configured flow capacity.
+        the configured flow capacity.  A service built here (first use, or
+        after :meth:`close` shut a worker pool down) starts with empty flow
+        tables, so the confirm stage starts afresh with it.
         """
         if self._service is None:
+            self._confirm.reset()
             track_nocase = bool(self._nocase_patterns)
             if self.workers is None:
                 self._service = ScanService(
@@ -429,16 +430,14 @@ class IntrusionDetectionSystem:
     def close(self) -> None:
         """Shut down the parallel scan workers, if any were started.
 
-        The correlation state goes with them: a pool rebuilt later starts
-        with fresh flow tables, so the confirm stage must be fresh too.
-        (A serial IDS keeps its flow tables and confirm state across
-        close().)
+        Only the pool goes: the confirm stage keeps its flows, so
+        :meth:`finish` after :meth:`close` decides the same pending
+        verdicts with or without workers.  (A serial IDS keeps its flow
+        tables too; a pool rebuilt by a later scan starts afresh.)
         """
-        if self.workers is not None:
-            if self._service is not None:
-                self._service.close()
-                self._service = None
-            self._confirm.reset()
+        if self.workers is not None and self._service is not None:
+            self._service.close()
+            self._service = None
 
     def __enter__(self) -> "IntrusionDetectionSystem":
         return self
@@ -479,16 +478,7 @@ class IntrusionDetectionSystem:
                 _, evicted_key = evictions[next_eviction]
                 next_eviction += 1
                 for packet_id, sid in confirm.finalize_flow(evicted_key):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
-                    self.stats.alerts_raised += 1
+                    alerts.append(self._alert(packet_id, sid))
                 confirm.drop(evicted_key)
             key = StreamScanner.flow_key(packet)
             record = confirm.observe(
@@ -508,17 +498,8 @@ class IntrusionDetectionSystem:
                 if sid in record.alerted:
                     continue
                 if confirm.check(key, sid):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet.packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
+                    alerts.append(self._alert(packet.packet_id, sid))
                     confirm.mark_alerted(key, sid)
-                    self.stats.alerts_raised += 1
         return alerts
 
     def scan_flow(self, packets: Sequence[Packet]) -> List[Alert]:
@@ -567,16 +548,7 @@ class IntrusionDetectionSystem:
         alerts: List[Alert] = []
         for key in self._confirm.flow_keys():
             for packet_id, sid in self._confirm.finalize_flow(key):
-                rule = self.rules[sid]
-                alerts.append(
-                    Alert(
-                        packet_id=packet_id,
-                        sid=sid,
-                        msg=rule.msg,
-                        action=rule.action,
-                    )
-                )
-                self.stats.alerts_raised += 1
+                alerts.append(self._alert(packet_id, sid))
         return alerts
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ separate cores or processes" — literally true:
   *exclusively*; no flow state is ever shared or migrated, which is exactly
   the isolation the serial service already guarantees per shard.
 * :class:`ParallelScanService` mirrors the :class:`ScanService` API —
-  ``scan`` / ``submit`` / ``checkpoint`` / ``restore`` / ``shard_occupancy``
+  ``scan`` / ``scan_annotated`` / ``checkpoint`` / ``restore`` / ``shard_occupancy``
   and the same :class:`StreamScanResult` / :class:`ShardReport` aggregates.
 
 Two planes carry the traffic (see :mod:`repro.streaming.transport`):
@@ -65,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import BatchItem, Eviction, StreamMatch, StreamScanner
+from .scanner import Eviction, StreamMatch, StreamScanner
 from .service import ShardedScanServiceBase, ShardReport, StreamScanResult
 from .transport import (
     DEFAULT_RING_SLOTS,
@@ -74,12 +74,6 @@ from .transport import (
     TransportError,
     TransportStats,
 )
-
-#: One batch item on the wire: ``(FlowKey, payload, packet_id)`` — the same
-#: shape :meth:`StreamScanner.scan_batch` consumes.  Since the ring
-#: transport this shape only ever crosses a process boundary for engines,
-#: not for dispatch; it remains the worker-side batch item.
-WireItem = BatchItem
 
 #: How often reply waits wake up to check worker liveness (seconds).
 _POLL_SECONDS = 0.1
@@ -171,9 +165,9 @@ def _shard_worker(
                 engine = engines[shard]
                 before_matches = engine.stats.matches
                 before_evicted = engine.flows.stats.evicted
-                # The engine's batched hot path: same-flow segments are
-                # scanned as one backend crossing whenever the batch cannot
-                # evict, and eviction records come back (item_index, key).
+                # The engine's batched hot path: same-flow segments of each
+                # eviction-free run cross into the backend once, and
+                # eviction records come back (item_index, key).
                 per_item, run_evictions = engine.scan_batch(
                     [(key, data, packet_id) for _, key, data, packet_id in resolved[index:end]]
                 )
@@ -599,27 +593,6 @@ class ParallelScanService(ShardedScanServiceBase):
     # ------------------------------------------------------------------
     # the ScanService API
     # ------------------------------------------------------------------
-    def submit(self, packet: Packet) -> List[StreamMatch]:
-        """Scan a single packet on its flow's shard (one worker round-trip)."""
-        self._ensure_open()
-        key = StreamScanner.flow_key(packet)
-        shard = self.shard_for(key)
-        handle = self._worker_of_shard[shard]
-        events: List[StreamMatch] = []
-
-        def on_reply(_handle, chunk_items, reply) -> None:
-            for (_, _, item_key, packet_id), compact in zip(
-                chunk_items, reply["events"]
-            ):
-                events.extend(self._inflate(item_key, packet_id, compact))
-
-        self._pump(
-            {handle: [(shard, 0, key, packet.payload, packet.packet_id)]},
-            "scan",
-            on_reply,
-        )
-        return events
-
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
         """Batched dispatch: group by shard, scan shards concurrently."""
         result, _, _ = self.scan_annotated(packets)
@@ -632,11 +605,11 @@ class ParallelScanService(ShardedScanServiceBase):
 
         Returns ``(result, per_packet_events, evictions)``: the aggregate
         result, the events of each input packet in arrival order (what
-        serial :meth:`StreamScanner.scan_packet` would have returned for
-        it), and ``(arrival_index, key)`` for every flow LRU-evicted while
-        the packet at ``arrival_index`` was being scanned.  The stateful IDS
-        pipeline correlates alerts from these without touching worker-owned
-        flow tables.
+        serial :meth:`StreamScanner.scan_batch` returns for it), and
+        ``(arrival_index, key)`` for every flow LRU-evicted while the packet
+        at ``arrival_index`` was being scanned.  The stateful IDS pipeline
+        correlates alerts from these without touching worker-owned flow
+        tables.
         """
         self._ensure_open()
         batches = self._group_by_shard(packets)

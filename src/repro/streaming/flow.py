@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..backend import ScanState
 from ..traffic.packet import FiveTuple
@@ -151,8 +151,6 @@ class FlowEntry:
 
 @dataclass
 class FlowTableStatistics:
-    lookups: int = 0
-    hits: int = 0
     created: int = 0
     evicted: int = 0
     #: flows present in a checkpoint but dropped at restore time because they
@@ -160,23 +158,14 @@ class FlowTableStatistics:
     #: were never live in this table).
     restore_dropped: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class FlowTable:
     """Bounded LRU table of :class:`FlowEntry` keyed by :class:`FlowKey`."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_FLOW_CAPACITY,
-        on_evict: Optional[Callable[[FlowEntry], None]] = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_FLOW_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
-        self.on_evict = on_evict
         self.stats = FlowTableStatistics()
         self._entries: "OrderedDict[FlowKey, FlowEntry]" = OrderedDict()
 
@@ -192,50 +181,34 @@ class FlowTable:
         return list(self._entries)
 
     def peek(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Like :meth:`lookup` but touching neither recency nor statistics."""
+        """The entry for ``key`` or ``None``, without touching recency."""
         return self._entries.get(key)
 
-    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Return the entry for ``key`` (refreshing its recency) or ``None``."""
-        self.stats.lookups += 1
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self.stats.hits += 1
-        self._entries.move_to_end(key)
-        return entry
-
     def touch(self, key: FlowKey) -> None:
-        """Refresh ``key``'s recency without counting a lookup.
+        """Make ``key`` the most recently used flow.
 
-        The batched fast path walks flows in grouped order and then replays
+        The batched scanner walks flows in grouped order and then replays
         the per-segment recency sequence through here, so eviction order
         stays identical to segment-at-a-time scanning.
         """
         if key in self._entries:
             self._entries.move_to_end(key)
 
-    def get_or_create(
-        self, key: FlowKey, factory: Callable[[FlowKey], FlowEntry]
-    ) -> FlowEntry:
-        """Fetch the live entry for ``key``, creating (and possibly evicting)."""
-        entry = self.lookup(key)
-        if entry is not None:
-            return entry
-        entry = factory(key)
-        self.insert(entry)
-        return entry
+    def insert(self, entry: FlowEntry) -> Optional[FlowEntry]:
+        """Add (or replace) ``entry`` as the most recently used flow.
 
-    def insert(self, entry: FlowEntry) -> None:
+        Returns the least recently used flow evicted to make room, if the
+        table was full.
+        """
         if entry.key not in self._entries:
             self.stats.created += 1
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self.stats.evicted += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted)
+        if len(self._entries) <= self.capacity:
+            return None
+        _, evicted = self._entries.popitem(last=False)
+        self.stats.evicted += 1
+        return evicted
 
     def remove(self, key: FlowKey) -> Optional[FlowEntry]:
         """Drop a flow (e.g. on TCP FIN/RST); not counted as an eviction."""
@@ -253,32 +226,21 @@ class FlowTable:
         }
 
     @classmethod
-    def restore(
-        cls,
-        data: Dict,
-        capacity: Optional[int] = None,
-        on_evict: Optional[Callable[[FlowEntry], None]] = None,
-    ) -> "FlowTable":
+    def restore(cls, data: Dict, capacity: Optional[int] = None) -> "FlowTable":
         """Rebuild a table from :meth:`checkpoint` data.
 
         ``capacity`` overrides the checkpointed capacity (e.g. restoring into
         a service configured with a different memory bound); when the
         checkpoint holds more flows than fit, the least recently used ones
-        are dropped — each counted in ``stats.restore_dropped`` and handed to
-        ``on_evict`` so no flow vanishes silently.  Restored flows count as
-        ``stats.created``; ``stats.evicted`` stays 0 because dropped flows
-        were never live in this table.
+        are dropped, each counted in ``stats.restore_dropped`` so no flow
+        vanishes silently.  Restored flows count as ``stats.created``;
+        ``stats.evicted`` stays 0 because dropped flows were never live in
+        this table.
         """
-        table = cls(
-            capacity=int(data["capacity"]) if capacity is None else capacity,
-            on_evict=on_evict,
-        )
+        table = cls(int(data["capacity"]) if capacity is None else capacity)
         flows = data["flows"]
         overflow = max(0, len(flows) - table.capacity)
-        for flow in flows[:overflow]:  # the LRU head that does not fit
-            table.stats.restore_dropped += 1
-            if on_evict is not None:
-                on_evict(FlowEntry.from_dict(flow))
+        table.stats.restore_dropped = overflow  # the LRU head that does not fit
         for flow in flows[overflow:]:  # keep the MRU tail
             entry = FlowEntry.from_dict(flow)
             table._entries[entry.key] = entry

@@ -20,14 +20,15 @@ Higher layers stack the sharded services on top of it; the declarative
 
 Hot path
 --------
-The sharded services feed whole shard batches through :meth:`scan_batch`,
-which concatenates consecutive same-flow segments and crosses into the
-backend once per flow instead of once per segment, then re-attributes the
-matches to their segments by offset.  The fast path is taken only when the
-batch provably cannot evict a flow; under eviction pressure the scanner
-falls back to the exact per-segment loop, so events, statistics and LRU
-order are byte-identical either way (the differential harness in the test
-suite holds it to that).
+:meth:`StreamScanner.scan_batch` is the only way bytes enter a flow.  The
+sharded services feed it whole shard batches; it concatenates each flow's
+segments and crosses into the backend once per flow instead of once per
+segment, then re-attributes the matches to their segments by offset.  A
+batch that must evict is cut into runs at each new flow that does not fit
+the table: every multi-item run is eviction-free, and the cutting item is
+scanned alone and evicts exactly one flow, so events, statistics and LRU
+order are byte-identical to scanning one segment at a time (the
+differential tests in the suite hold it to that).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 #: anonymous flow so bare payload streams can still be scanned statefully).
 ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
 
-#: One batch item: ``(FlowKey, payload, packet_id)`` — the executor's wire
-#: format, shared by :meth:`StreamScanner.scan_batch`.
+#: One batch item: ``(FlowKey, payload, packet_id)`` — what
+#: :meth:`StreamScanner.scan_batch` consumes, in process and in the workers.
 BatchItem = Tuple[FlowKey, bytes, int]
 
 #: Per-batch eviction record: ``(item_index, FlowKey)`` — the flow evicted
@@ -157,18 +158,6 @@ class StreamScanner:
         )
 
     # ------------------------------------------------------------------
-    def scan_packet(self, packet: Packet) -> List[StreamMatch]:
-        """Scan one packet as the next segment of its flow."""
-        return self.scan_segment(self.flow_key(packet), packet.payload, packet.packet_id)
-
-    def scan_segment(
-        self, key: FlowKey, payload: bytes, packet_id: int = 0
-    ) -> List[StreamMatch]:
-        """Scan ``payload`` as the next segment of flow ``key``."""
-        entry = self.flows.get_or_create(key, self._new_entry)
-        entry.packets += 1
-        return self._scan_segments(entry, ((key, payload, packet_id),))[0]
-
     def _scan_segments(
         self, entry: FlowEntry, segments: Sequence[BatchItem]
     ) -> List[List[StreamMatch]]:
@@ -234,105 +223,80 @@ class StreamScanner:
         stats.matches += len(raw) + len(lowered)
         return per_segment
 
-    def scan_packets(self, packets: Sequence[Packet]) -> List[StreamMatch]:
-        """Scan a batch of packets in arrival order (flows may interleave)."""
-        matches: List[StreamMatch] = []
-        for packet in packets:
-            matches.extend(self.scan_packet(packet))
-        return matches
-
     # ------------------------------------------------------------------
-    # batched scanning (the services' hot path)
+    # batched scanning: the one way bytes enter a flow
     # ------------------------------------------------------------------
     def scan_batch(
         self, items: Sequence[BatchItem]
     ) -> Tuple[List[List[StreamMatch]], List[Eviction]]:
-        """Scan one shard batch of ``(key, payload, packet_id)`` segments.
+        """Scan a batch of ``(key, payload, packet_id)`` segments in order.
 
-        Returns ``(per_item, evictions)``: ``per_item[i]`` is exactly the
-        event list :meth:`scan_segment` would have returned for ``items[i]``,
-        and ``evictions`` records ``(item_index, key)`` for every flow
-        LRU-evicted while item ``item_index`` was being scanned.
+        Returns ``(per_item, evictions)``: ``per_item[i]`` is the event list
+        of ``items[i]``, and ``evictions`` records ``(item_index, key)`` for
+        every flow LRU-evicted while item ``item_index`` was being scanned.
+        Results, statistics and final table state are exactly those of
+        scanning the items one at a time (``scan_batch([item])`` each).
 
-        Fast path: when the batch provably cannot evict (live flows plus this
-        batch's new flows fit the table), each flow's segments are
-        concatenated and cross into the backend as one chunk; matches are
-        re-attributed to segments by their flow-absolute end offset and LRU
-        recency is replayed in per-segment order afterwards.  Any batch that
-        could evict takes the exact per-segment loop instead, because
-        eviction timing (and hence restart state) depends on the segment
-        interleaving the fast path collapses.  Events, statistics and final
-        table state are identical on both paths.
+        The batch is cut into runs.  A run grows while every new flow in it
+        still fits the table, so it cannot evict: each of its flows'
+        segments cross into the backend as one chunk and LRU recency is
+        replayed in per-segment order afterwards.  The first new flow that
+        does not fit ends the run and is scanned alone, evicting exactly one
+        least recently used flow; a fresh run starts after it.
         """
         flows = self.flows
-        groups: Dict[FlowKey, List[int]] = {}
+        # every slot is filled below: each item lands in exactly one run
+        per_item: list = [None] * len(items)
+        evictions: List[Eviction] = []
+        run: Dict[FlowKey, List[int]] = {}
+        room = flows.capacity - len(flows)
         for index, item in enumerate(items):
             key = item[0]
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [index]
+            indexes = run.get(key)
+            if indexes is not None:
+                indexes.append(index)
+            elif key in flows:
+                run[key] = [index]
+            elif room > 0:
+                room -= 1
+                run[key] = [index]
             else:
-                group.append(index)
+                self._scan_run(items, run, per_item, evictions)
+                self._scan_run(items, {key: [index]}, per_item, evictions)
+                run = {}
+                room = flows.capacity - len(flows)
+        self._scan_run(items, run, per_item, evictions)
+        return per_item, evictions
 
-        new_flows = sum(1 for key in groups if key not in flows)
-        if len(flows) + new_flows > flows.capacity:
-            return self._scan_batch_per_segment(items)
-
-        # every slot is filled below: the flow groups partition the items
-        per_item: list = [None] * len(items)
-        table_stats = flows.stats
-        for key, indexes in groups.items():
-            entry = flows.lookup(key)
+    def _scan_run(
+        self,
+        items: Sequence[BatchItem],
+        run: Dict[FlowKey, List[int]],
+        per_item: List[List[StreamMatch]],
+        evictions: List[Eviction],
+    ) -> None:
+        """Scan one run of :meth:`scan_batch`: ``run`` maps each flow to its
+        item indexes, flows in first-arrival order.  Only a one-item run can
+        evict (its flow is new and the table full)."""
+        flows = self.flows
+        for key, indexes in run.items():
+            entry = flows.peek(key)
             if entry is None:
                 entry = self._new_entry(key)
-                flows.insert(entry)
-            # Emulate the per-segment bookkeeping the collapsed lookups would
-            # have done: each of the k segments performs one lookup, and all
-            # but the creating miss (if any) hit.
-            extra = len(indexes) - 1
-            table_stats.lookups += extra
-            table_stats.hits += extra
+                victim = flows.insert(entry)
+                if victim is not None:
+                    evictions.append((indexes[0], victim.key))
             entry.packets += len(indexes)
             per_segment = self._scan_segments(
                 entry, [items[index] for index in indexes]
             )
             for index, events in zip(indexes, per_segment):
                 per_item[index] = events
-
-        # Replay LRU recency in per-segment order: the grouped walk touched
-        # each flow at its *first* arrival, but per-segment scanning leaves
-        # flows ordered by their *last* segment in the batch.
-        for key in sorted(groups, key=lambda flow: groups[flow][-1]):
+        # Replay LRU recency in per-segment order: the grouped walk only
+        # moved new flows to the front, in first-arrival order, but
+        # per-segment scanning leaves flows ordered by their *last* segment.
+        for key in sorted(run, key=lambda flow: run[flow][-1]):
             flows.touch(key)
-        return per_item, []
-
-    def _scan_batch_per_segment(
-        self, items: Sequence[BatchItem]
-    ) -> Tuple[List[List[StreamMatch]], List[Eviction]]:
-        """The exact slow path: per-segment scanning with eviction records."""
-        per_item: List[List[StreamMatch]] = []
-        evictions: List[Eviction] = []
-        flows = self.flows
-        previous = flows.on_evict
-        position = 0
-
-        def record(entry: FlowEntry) -> None:
-            evictions.append((position, entry.key))
-            if previous is not None:
-                previous(entry)
-
-        flows.on_evict = record
-        try:
-            for position, (key, payload, packet_id) in enumerate(items):
-                per_item.append(self.scan_segment(key, payload, packet_id))
-        finally:
-            flows.on_evict = previous
-        return per_item, evictions
-
-    # ------------------------------------------------------------------
-    def close_flow(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Forget a finished flow and return its final entry, if tracked."""
-        return self.flows.remove(key)
 
     @property
     def active_flows(self) -> int:

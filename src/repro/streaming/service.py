@@ -219,13 +219,6 @@ class ScanService(ShardedScanServiceBase):
         ]
 
     # ------------------------------------------------------------------
-    def submit(self, packet: Packet) -> List[StreamMatch]:
-        """Scan a single packet on its flow's shard."""
-        key = StreamScanner.flow_key(packet)
-        return self.engines[self.shard_for(key)].scan_segment(
-            key, packet.payload, packet.packet_id
-        )
-
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
         """Batched dispatch: group ``packets`` by shard, scan, aggregate."""
         return self.scan_annotated(packets)[0]

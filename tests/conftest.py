@@ -27,7 +27,7 @@ from repro.capture import replay_scan, write_packets
 from repro.core import DTPAutomaton, compile_ruleset
 from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import ParallelScanService, ScanService
+from repro.streaming import ParallelScanService, ScanService, StreamScanner
 from repro.traffic import Packet, TrafficGenerator
 
 #: The worked example of Figures 1 and 2.
@@ -92,6 +92,26 @@ def text_with_patterns(rng: random.Random, patterns, length: int = 2000) -> byte
         offset = rng.randrange(0, length - len(pattern))
         data[offset:offset + len(pattern)] = pattern
     return bytes(data)
+
+
+# ----------------------------------------------------------------------
+# driving a StreamScanner through its one entry point, scan_batch
+# ----------------------------------------------------------------------
+def packet_items(packets: Sequence[Packet]) -> List[Tuple]:
+    """``scan_batch`` items ``(flow key, payload, packet id)`` for ``packets``."""
+    return [(StreamScanner.flow_key(p), p.payload, p.packet_id) for p in packets]
+
+
+def scan_one(scanner: StreamScanner, key, payload: bytes, packet_id: int = 0) -> List:
+    """Scan one segment as a one-item batch; returns its events."""
+    per_item, _ = scanner.scan_batch([(key, payload, packet_id)])
+    return per_item[0]
+
+
+def stream_events(scanner: StreamScanner, packets: Sequence[Packet]) -> List:
+    """Scan ``packets`` as one batch; returns all events in arrival order."""
+    per_item, _ = scanner.scan_batch(packet_items(packets))
+    return [event for events in per_item for event in events]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.ids.classifier import HeaderPattern
 from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import TrafficGenerator
+from tests.conftest import scan_one
 
 ALL_BACKENDS = ("ac", "bitmap", "dense", "dtp", "path", "wu-manber")
 
@@ -188,10 +189,10 @@ class TestStreamingAcrossBackends:
         program = get_backend("wu-manber").compile(patterns)
         scanner = StreamScanner(program, capacity=4)
         key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        scanner.scan_segment(key, b"xxxxneed", packet_id=0)
+        scan_one(scanner, key, b"xxxxneed", packet_id=0)
         checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
         scanner.flows = FlowTable.restore(checkpoint)
-        matches = scanner.scan_segment(key, b"le-and-more", packet_id=1)
+        matches = scan_one(scanner, key, b"le-and-more", packet_id=1)
         assert [(m.end_offset, m.string_number) for m in matches] == [(10, 0)]
 
 

@@ -27,7 +27,6 @@ from repro.capture import (
     load_packets,
     read_capture,
     replay_ids,
-    replay_stream,
     write_packets,
     write_pcap,
     write_pcapng,
@@ -40,7 +39,7 @@ from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import StreamScanner
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet
-from tests.conftest import assert_equivalent_events, renumbered
+from tests.conftest import assert_equivalent_events, renumbered, stream_events
 
 
 @pytest.fixture(scope="module")
@@ -311,8 +310,9 @@ class TestReplayEquivalence:
     def test_stream_scanner_events_identical(self, ruleset, workload, capture_bytes, backend):
         _, packets = workload
         program = self._program(ruleset, backend)
-        in_memory = StreamScanner(program).scan_packets(renumbered(packets))
-        replayed = replay_stream(io.BytesIO(capture_bytes), StreamScanner(program))
+        in_memory = stream_events(StreamScanner(program), renumbered(packets))
+        loaded, _ = load_packets(io.BytesIO(capture_bytes))
+        replayed = stream_events(StreamScanner(program), loaded)
         assert replayed == in_memory
         assert len(replayed) > 0
 

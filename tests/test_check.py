@@ -377,6 +377,38 @@ class TestSurfaces:
             report = session.verify()
         assert report.ok, report.render()
 
+    def test_session_verify_proves_the_ids_program(self, tmp_path, monkeypatch):
+        """In ids mode verify() proves the program the IDS runs against the
+        IDS's prefilter patterns, not the stream-mode program (which also
+        holds the negated content)."""
+        import repro.check
+        from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
+
+        rules = tmp_path / "negated.rules"
+        rules.write_text(
+            'alert tcp any any -> any any (content:!"zz"; sid:1;)\n'
+            'alert tcp any any -> any any (content:"ab"; sid:2;)\n'
+        )
+        config = PipelineConfig(
+            mode="ids",
+            source=SourceSpec(kind="generator", count=2, seed=4),
+            rules=RulesSpec(kind="file", path=str(rules)),
+            engine=EngineSpec(backend="dtp"),
+        )
+        proved = []
+        real_verify = repro.check.verify_program
+
+        def recording_verify(program, patterns=None):
+            proved.append((program, list(patterns)))
+            return real_verify(program, patterns=patterns)
+
+        monkeypatch.setattr(repro.check, "verify_program", recording_verify)
+        with Session.from_config(config) as session:
+            report = session.verify()
+            assert proved == [(session.ids.program, [b"ab"])]
+            assert list(session.program.patterns) == [b"zz", b"ab"]
+        assert report.ok, report.render()
+
     def test_mixin_verify_hook_on_every_backend(self):
         for name in AUTOMATON_BACKENDS:
             assert get_backend(name).compile(FIG2_PATTERNS).verify().ok

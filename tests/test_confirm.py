@@ -385,6 +385,20 @@ class TestPipeline:
             with pytest.raises(ValueError, match="checkpoint has 1 shards, service has 2"):
                 parallel.restore(saved)
 
+    def test_finish_after_close_is_the_same_with_and_without_workers(self):
+        """close() only shuts a worker pool down: the pending end-of-flow
+        verdict survives it, serial and parallel alike."""
+        lines = [WILDCARD + '(content:"ab"; content:!"zz"; sid:1;)']
+        packets = _flow([b"ab.."])
+        results = []
+        for workers in (None, 2):
+            ids = _ids_for(lines, workers=workers)
+            assert ids.scan_flow(packets) == []
+            ids.close()
+            results.append(_alert_pairs(ids.finish()))
+            ids.close()
+        assert results == [[(0, 1)], [(0, 1)]]
+
     @pytest.mark.parametrize("workers, flows", [(None, 5), (2, 6)])
     def test_restore_rejects_checkpoint_over_flow_capacity(self, workers, flows):
         """The configured flow capacity survives restore: a checkpoint whose

@@ -80,7 +80,7 @@ class TestFlowKeyCoercion:
         pattern = crafted_ruleset[0].pattern
         header = make_header(3)
         service = ScanService(crafted_program, num_shards=4)
-        assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+        assert service.scan([Packet(payload=pattern[:9], header=header, packet_id=0)]).events == []
 
         snapshot = json.loads(json.dumps(service.checkpoint()))
         for shard_data in snapshot["shards"]:
@@ -94,7 +94,7 @@ class TestFlowKeyCoercion:
         restored_key = resumed.engines[resumed.shard_for(live_key)].flows.keys()[0]
         assert restored_key == live_key
         assert resumed.shard_for(restored_key) == service.shard_for(live_key)
-        matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
 
@@ -124,20 +124,17 @@ class TestFlowTableAccounting:
         assert restored.stats.evicted == 0
         assert restored.stats.restore_dropped == 0
 
-    def test_restore_overflow_counts_drops_and_invokes_on_evict(self):
+    def test_restore_overflow_counts_drops(self):
         table = FlowTable(capacity=8)
         for n in range(5):
             table.insert(self.entry(n))
-        dropped = []
-        restored = FlowTable.restore(
-            table.checkpoint(), capacity=2, on_evict=dropped.append
-        )
+        restored = FlowTable.restore(table.checkpoint(), capacity=2)
         assert len(restored) == 2
         assert restored.stats.restore_dropped == 3
         assert restored.stats.created == 2
         assert restored.stats.evicted == 0  # drops are not LRU evictions
-        # the LRU head was dropped, oldest first, and handed to on_evict
-        assert [e.key for e in dropped] == [make_key(0), make_key(1), make_key(2)]
+        # the LRU head was dropped; the most recently used flows survive
+        assert restored.keys() == [make_key(3), make_key(4)]
         assert make_key(3) in restored and make_key(4) in restored
 
 
@@ -207,7 +204,7 @@ class TestParallelEquivalence:
         with ParallelScanService(crafted_program, num_shards=2, workers=2) as parallel:
             for packet_id, payload in enumerate((pattern[:6], pattern[6:])):
                 packet = Packet(payload=payload, header=header, packet_id=packet_id)
-                assert parallel.submit(packet) == serial.submit(packet)
+                assert parallel.scan([packet]).events == serial.scan([packet]).events
 
     def test_nocase_events_identical(self, crafted_ruleset):
         from tests.conftest import assert_equivalent_events
@@ -235,14 +232,14 @@ class TestParallelEquivalence:
         pattern = crafted_ruleset[0].pattern
         header = make_header(6)
         serial = ScanService(crafted_program, num_shards=2)
-        assert serial.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+        assert serial.scan([Packet(payload=pattern[:9], header=header, packet_id=0)]).events == []
         snapshot = serial.checkpoint()
 
         with ParallelScanService(crafted_program, num_shards=2, workers=workers) as parallel:
             parallel.restore(snapshot)
-            matches = parallel.submit(
+            matches = parallel.scan([
                 Packet(payload=pattern[9:], header=header, packet_id=1)
-            )
+            ]).events
             assert [m.string_number for m in matches] == [0]
             # the match straddles the checkpoint boundary
             assert matches[0].end_offset == len(pattern)
@@ -254,14 +251,14 @@ class TestParallelEquivalence:
         pattern = crafted_ruleset[0].pattern
         header = make_header(7)
         with ParallelScanService(crafted_program, num_shards=2, workers=2) as parallel:
-            assert parallel.submit(
+            assert parallel.scan([
                 Packet(payload=pattern[:9], header=header, packet_id=0)
-            ) == []
+            ]).events == []
             snapshot = parallel.checkpoint()
 
         serial = ScanService(crafted_program, num_shards=2)
         serial.restore(snapshot)
-        matches = serial.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        matches = serial.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
         assert serial.cross_segment_matches == 1
 
@@ -272,13 +269,11 @@ class TestParallelEquivalence:
         pattern = crafted_ruleset[0].pattern
         header = make_header(8)
         with ParallelScanService(crafted_program, num_shards=4, workers=2) as first:
-            first.submit(Packet(payload=pattern[:7], header=header, packet_id=0))
+            first.scan([Packet(payload=pattern[:7], header=header, packet_id=0)])
             snapshot = first.checkpoint()
         with ParallelScanService(crafted_program, num_shards=4, workers=4) as second:
             second.restore(snapshot)
-            matches = second.submit(
-                Packet(payload=pattern[7:], header=header, packet_id=1)
-            )
+            matches = second.scan([Packet(payload=pattern[7:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
     def test_restore_rejects_shard_mismatch(self, crafted_program):

@@ -5,6 +5,7 @@ string split across consecutive packets of one flow is invisible to the
 per-packet scan path but must be found by the stateful flow scan.
 """
 
+import dataclasses
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.streaming import (
     StreamScanner,
 )
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
+from tests.conftest import scan_one, stream_events
 
 #: The worked example of Figures 1 and 2 (mirrors tests/conftest.py).
 PAPER_EXAMPLE_PATTERNS = [b"he", b"she", b"his", b"hers"]
@@ -114,31 +116,30 @@ class TestFlowTable:
         return FlowEntry(key=make_key(n), states=(ScanState(),))
 
     def test_lru_eviction_order(self):
-        evicted = []
-        table = FlowTable(capacity=2, on_evict=evicted.append)
-        table.insert(self.entry(1))
-        table.insert(self.entry(2))
+        table = FlowTable(capacity=2)
+        assert table.insert(self.entry(1)) is None
+        assert table.insert(self.entry(2)) is None
         # touch flow 1 so flow 2 becomes the LRU victim
-        assert table.lookup(make_key(1)) is not None
-        table.insert(self.entry(3))
+        table.touch(make_key(1))
+        evicted = table.insert(self.entry(3))
         assert len(table) == 2
-        assert [e.key for e in evicted] == [make_key(2)]
+        assert evicted.key == make_key(2)
         assert make_key(1) in table and make_key(3) in table
         assert table.stats.evicted == 1
 
     def test_evicted_flow_restarts_fresh(self, crafted_program, crafted_ruleset):
         scanner = StreamScanner(crafted_program, FlowTable(capacity=1))
         pattern = crafted_ruleset[0].pattern
-        scanner.scan_segment(make_key(1), pattern[:8])
+        scan_one(scanner, make_key(1), pattern[:8])
         # flow 2 pushes flow 1 out of the single-entry table
-        scanner.scan_segment(make_key(2), b"unrelated")
-        matches = scanner.scan_segment(make_key(1), pattern[8:])
+        scan_one(scanner, make_key(2), b"unrelated")
+        matches = scan_one(scanner, make_key(1), pattern[8:])
         assert matches == []  # the head fragment was forgotten with the state
         assert scanner.flows.stats.evicted == 2
 
-    def test_lookup_miss_and_remove(self):
+    def test_peek_miss_and_remove(self):
         table = FlowTable(capacity=4)
-        assert table.lookup(make_key(9)) is None
+        assert table.peek(make_key(9)) is None
         table.insert(self.entry(1))
         assert table.remove(make_key(1)).key == make_key(1)
         assert table.remove(make_key(1)) is None
@@ -152,9 +153,9 @@ class TestFlowTable:
         table = FlowTable(capacity=2)
         table.insert(self.entry(1))
         table.insert(self.entry(2))
-        lookups_before = table.stats.lookups
+        stats_before = dataclasses.asdict(table.stats)
         assert table.peek(make_key(1)) is not None
-        assert table.stats.lookups == lookups_before
+        assert dataclasses.asdict(table.stats) == stats_before
         table.insert(self.entry(3))  # flow 1 is still the LRU victim
         assert make_key(1) not in table
 
@@ -175,7 +176,7 @@ class TestFlowTable:
         table.insert(entry)
         restored = FlowTable.restore(table.checkpoint())
         assert restored.capacity == 8
-        back = restored.lookup(make_key(1))
+        back = restored.peek(make_key(1))
         assert back.states == entry.states
         assert back.packets == 3
 
@@ -198,7 +199,7 @@ class TestCrossPacketMatching:
             assert crafted_program.match(packet.payload) == []
         # ...stateful scanning finds it, at the reassembled-stream offset
         scanner = StreamScanner(crafted_program)
-        matches = scanner.scan_packets(packets)
+        matches = stream_events(scanner, packets)
         assert [m.string_number for m in matches] == [0]
         assert matches[0].end_offset == len(b"padding ") + len(pattern)
         assert scanner.stats.cross_segment_matches == 1
@@ -213,7 +214,7 @@ class TestCrossPacketMatching:
         ]
         for packet in packets:
             assert crafted_program.match(packet.payload) == []
-        matches = StreamScanner(crafted_program).scan_packets(packets)
+        matches = stream_events(StreamScanner(crafted_program), packets)
         assert [m.string_number for m in matches] == [1]
 
     def test_byte_at_a_time_flow(self, crafted_program, crafted_ruleset):
@@ -224,7 +225,7 @@ class TestCrossPacketMatching:
             Packet(payload=bytes([byte]), header=header, packet_id=i)
             for i, byte in enumerate(pattern)
         ]
-        matches = StreamScanner(crafted_program).scan_packets(packets)
+        matches = stream_events(StreamScanner(crafted_program), packets)
         assert [(m.string_number, m.end_offset) for m in matches] == [(2, len(pattern))]
 
     def test_nocase_view_reports_lowercase_occurrence_once(self):
@@ -233,10 +234,10 @@ class TestCrossPacketMatching:
         ruleset.add_pattern(b"lowercasesignature")
         program = compile_ruleset(ruleset, STRATIX_III)
         scanner = StreamScanner(program, track_nocase=True)
-        matches = scanner.scan_segment(make_key(1), b"xx lowercasesignature yy")
+        matches = scan_one(scanner, make_key(1), b"xx lowercasesignature yy")
         assert len(matches) == 1 and not matches[0].lowered
         # a genuinely mixed-case occurrence is still caught, via the lowered view
-        mixed = scanner.scan_segment(make_key(2), b"LowerCaseSignature")
+        mixed = scan_one(scanner, make_key(2), b"LowerCaseSignature")
         assert len(mixed) == 1 and mixed[0].lowered
 
     def test_lowered_view_rebuilt_at_stream_offset(self):
@@ -246,26 +247,26 @@ class TestCrossPacketMatching:
         ruleset.add_pattern(b"lowercasesignature")
         program = compile_ruleset(ruleset, STRATIX_III)
         plain = StreamScanner(program, track_nocase=False)
-        plain.scan_segment(make_key(1), b"0123456789")  # 10 bytes of prologue
+        scan_one(plain, make_key(1), b"0123456789")  # 10 bytes of prologue
         snapshot = plain.flows.checkpoint()
 
         nocase = StreamScanner(program, track_nocase=True)
         nocase.flows = FlowTable.restore(snapshot)
-        matches = nocase.scan_segment(make_key(1), b"xx LowerCaseSignature")
+        matches = scan_one(nocase, make_key(1), b"xx LowerCaseSignature")
         assert [m.lowered for m in matches] == [True]
         assert matches[0].end_offset == 10 + len(b"xx LowerCaseSignature")
         # an already-lowercase hit is still reported once, not per view
-        again = nocase.scan_segment(make_key(1), b" lowercasesignature")
+        again = scan_one(nocase, make_key(1), b" lowercasesignature")
         assert len(again) == 1 and not again[0].lowered
 
     def test_independent_flows_do_not_share_state(self, crafted_program, crafted_ruleset):
         """Fragments from different flows must never combine into a match."""
         pattern = crafted_ruleset[0].pattern
         scanner = StreamScanner(crafted_program)
-        scanner.scan_segment(make_key(1), pattern[:10])
-        assert scanner.scan_segment(make_key(2), pattern[10:]) == []
+        scan_one(scanner, make_key(1), pattern[:10])
+        assert scan_one(scanner, make_key(2), pattern[10:]) == []
         # while the real continuation still completes
-        assert scanner.scan_segment(make_key(1), pattern[10:]) != []
+        assert scan_one(scanner, make_key(1), pattern[10:]) != []
 
 
 # ----------------------------------------------------------------------
@@ -302,8 +303,9 @@ class TestScanService:
         service = ScanService(crafted_program, num_shards=2)
         pattern = crafted_ruleset[0].pattern
         header = make_header(4)
-        first = service.submit(Packet(payload=pattern[:6], header=header, packet_id=0))
-        second = service.submit(Packet(payload=pattern[6:], header=header, packet_id=1))
+        first = service.scan([Packet(payload=pattern[:6], header=header, packet_id=0)])
+        second = service.scan([Packet(payload=pattern[6:], header=header, packet_id=1)])
+        first, second = first.events, second.events
         assert first == [] and [m.string_number for m in second] == [0]
 
     def test_shard_report_evictions_are_per_batch(self, crafted_program):
@@ -321,12 +323,12 @@ class TestScanService:
         pattern = crafted_ruleset[0].pattern
         header = make_header(5)
         service = ScanService(crafted_program, num_shards=2)
-        assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+        assert service.scan([Packet(payload=pattern[:9], header=header, packet_id=0)]).events == []
 
         snapshot = service.checkpoint()
         resumed = ScanService(crafted_program, num_shards=2)
         resumed.restore(snapshot)
-        matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
     def test_restore_keeps_configured_capacity(self, crafted_program):
